@@ -38,7 +38,6 @@ _LAZY_ATTRS = {
     "IncrementalTPGrGAD": ("repro.stream", "IncrementalTPGrGAD"),
     "StreamConfig": ("repro.stream", "StreamConfig"),
     "ParallelExecutor": ("repro.parallel", "ParallelExecutor"),
-    "parallel_fit_detect_many": ("repro.parallel", "parallel_fit_detect_many"),
     "PipelineState": ("repro.persist", "PipelineState"),
     "save_pipeline": ("repro.persist", "save_pipeline"),
     "load_pipeline": ("repro.persist", "load_pipeline"),
@@ -78,7 +77,6 @@ __all__ = [
     "IncrementalTPGrGAD",
     "StreamConfig",
     "ParallelExecutor",
-    "parallel_fit_detect_many",
     "PipelineState",
     "save_pipeline",
     "load_pipeline",

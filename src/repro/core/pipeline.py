@@ -77,11 +77,11 @@ class TPGrGAD:
         # it over the live fitted models.
         self._warm_state = None
         # Identity of the graph the live models were actually *trained* on
-        # (detect_only rebinds self._graph to whatever it serves, so the
-        # manifest fingerprint cannot come from there), and the TPGCL that
-        # training produced (detect_only may null self.tpgcl for a serve
-        # that skipped the head — that must never erase trained weights
-        # from what save() exports).
+        # (a streaming warm start rebinds self._graph to the snapshot it
+        # serves, so the manifest fingerprint cannot come from there), and
+        # the TPGCL that training produced (a warm start may null
+        # self.tpgcl when it skips the head — that must never erase
+        # trained weights from what save() exports).
         self._fitted_fingerprint: Optional[str] = None
         self._fitted_n_features: Optional[int] = None
         self._fitted_tpgcl: Optional[TPGCL] = None
@@ -359,10 +359,11 @@ class TPGrGAD:
         :class:`~repro.persist.PipelineState`, and every per-call model
         binding and intermediate lives in locals — overlapping
         ``detect_only`` calls on one warm detector from multiple threads
-        each produce exactly their serial result.  The instance attributes
-        (``mhgae`` / ``tpgcl`` / ``_graph``) are rebound only at the end,
-        as the usual post-call inspection surface; under concurrency they
-        reflect *some* recent call, never a torn mix inside a result.
+        each produce exactly their serial result.  Nothing is written back
+        to the detector: ``mhgae`` / ``tpgcl`` keep the trained models,
+        and a serving detector holds no reference to the last scored
+        graph or the MH-GAE bound to it, so its memory does not depend on
+        which request came last.
         """
         from repro.persist import PipelineState
 
@@ -399,9 +400,6 @@ class TPGrGAD:
                 mhgae=mhgae,
                 tpgcl=tpgcl,
             )
-            self._graph = graph
-            self.mhgae = mhgae
-            self.tpgcl = tpgcl
             if tracer.enabled:
                 top.set("n_nodes", graph.n_nodes)
             return self._score_stages(outputs, threshold)

@@ -8,6 +8,8 @@
   serial order** by construction: every graph's pipeline is seeded from
   its config (and, under ``derive_seeds``, from its *batch index* via
   ``SeedSequence.spawn``), never from worker identity or chunk layout.
+  This holds when the workers and the serial run use the same BLAS
+  thread count, which sets the summation order of every matrix product.
 * ``run_experiments`` — entries of the experiment registry
   (:data:`repro.experiments.EXPERIMENTS`) run as one task each.
 
@@ -26,13 +28,6 @@ fewer misses — the *results* are identical either way.  ``cache_size ==
 0`` disables the collapse entirely, mirroring a cache-disabled serial
 run.
 
-``backend="thread"`` swaps the process pool for a
-``ThreadPoolExecutor`` in *artifact mode only*: warm ``detect_only`` is
-pinned thread-safe (``tests/test_serve.py``), so every thread can share
-one parent-loaded detector — no fork, no per-worker artifact load, no
-pickling.  Fit paths mutate per-pipeline state and stay process-only, so
-``backend="thread"`` without ``artifact`` raises.
-
 On a single-core host the pool still shards correctly (parity is a
 property of seed derivation, not of concurrency); wall-clock speedups
 obviously need real cores.
@@ -45,7 +40,7 @@ import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import TPGrGADConfig
@@ -168,13 +163,6 @@ class ParallelExecutor:
         Path of a saved pipeline artifact to broadcast: every worker
         loads it once and serves warm ``detect_only`` for its whole
         chunk instead of retraining per graph.
-    backend:
-        ``"process"`` (default) shards over a ``ProcessPoolExecutor``;
-        ``"thread"`` uses threads sharing **one** parent-loaded warm
-        detector — valid only with ``artifact`` (``detect_only`` is the
-        thread-safe path), and the cheaper choice there since it skips
-        fork and per-worker artifact loads.  ``run_experiments`` always
-        uses processes.
 
     Examples
     --------
@@ -192,25 +180,14 @@ class ParallelExecutor:
         chunk_size: Optional[int] = None,
         derive_seeds: bool = False,
         artifact: Optional[str] = None,
-        backend: str = "process",
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        backend = str(backend)
-        if backend not in ("process", "thread"):
-            raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")
-        if backend == "thread" and artifact is None:
-            raise ValueError(
-                "backend='thread' requires a broadcast artifact: warm detect_only "
-                "is the thread-safe path; fit paths stay process-only"
-            )
         self.config = config or TPGrGADConfig()
         self.n_workers = default_worker_count() if n_workers is None else int(n_workers)
         self.chunk_size = chunk_size
         self.derive_seeds = derive_seeds
         self.artifact = None if artifact is None else str(artifact)
-        self.backend = backend
-        self._thread_detector: Optional[TPGrGAD] = None
         # Counters mirroring TPGrGAD's: cross-worker duplicate collapses
         # count as hits, worker-local LRU activity is merged in.
         self.cache_hits = 0
@@ -227,41 +204,6 @@ class ParallelExecutor:
             return []
         size = self.chunk_size or math.ceil(n_items / max(1, self.n_workers))
         return [(start, min(start + size, n_items)) for start in range(0, n_items, size)]
-
-    # ------------------------------------------------------------------
-    def _shared_detector(self) -> TPGrGAD:
-        """The one warm detector every thread shard scores on (lazy load)."""
-        if self._thread_detector is None:
-            self._thread_detector = TPGrGAD.load(self.artifact)
-        return self._thread_detector
-
-    def _thread_chunk(
-        self,
-        detector: TPGrGAD,
-        graphs: List[Graph],
-        threshold: Optional[float],
-        tracer: Tracer,
-        parent_span_id: Optional[str],
-        chunk_index: int,
-    ):
-        """Thread-backend shard: warm ``detect_only`` on the shared detector.
-
-        Same output shape as :func:`_worker_fit_detect` in artifact mode.
-        Worker threads start with a fresh contextvar context, so span
-        parentage is re-established via a child :class:`Tracer` whose
-        spans merge back under the parent's lock — no JSONL hand-off.
-        """
-        if tracer.enabled:
-            child = Tracer(trace_id=tracer.trace_id, parent_span_id=parent_span_id)
-            with use_tracer(child):
-                with child.span(
-                    "parallel.chunk", chunk=chunk_index, n_graphs=len(graphs), backend="thread"
-                ):
-                    results = [detector.detect_only(graph, threshold=threshold) for graph in graphs]
-            tracer.ingest(child.spans)
-        else:
-            results = [detector.detect_only(graph, threshold=threshold) for graph in graphs]
-        return results, 0, 0, None
 
     # ------------------------------------------------------------------
     def fit_detect_many(
@@ -281,7 +223,7 @@ class ParallelExecutor:
         # equivalent of the serial stage cache (counter caveats under
         # LRU eviction pressure: see module docstring).  Warm artifact
         # serving is deterministic per graph, so duplicates collapse
-        # there too — the scoring service's micro-batches lean on this.
+        # there too.
         # cache_size == 0 means the user disabled caching — mirror the
         # serial semantics exactly: recompute duplicates and count only
         # misses (the artifact's own cache_size is not consulted; the
@@ -307,14 +249,10 @@ class ParallelExecutor:
         final_unique = assignment[-1] if self.artifact is None else None
         tracer = get_tracer()
         use_pool = self.n_workers > 1 and len(bounds) > 1
-        use_threads = use_pool and self.backend == "thread"
-        # The in-process path records into the global tracer directly,
-        # and thread shards merge spans in-memory via Tracer.ingest;
-        # only real process shards need the JSONL hand-off.
+        # The in-process path records into the global tracer directly;
+        # only process shards need the JSONL hand-off.
         shard_dir = (
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if tracer.enabled and use_pool and not use_threads
-            else None
+            tempfile.mkdtemp(prefix="repro-trace-") if tracer.enabled and use_pool else None
         )
         with tracer.span("parallel.fit_detect_many") as span:
             if tracer.enabled:
@@ -340,22 +278,6 @@ class ParallelExecutor:
             try:
                 if not use_pool:
                     shard_outputs = [_worker_fit_detect(*task) for task in tasks]
-                elif use_threads:
-                    detector = self._shared_detector()
-                    with ThreadPoolExecutor(max_workers=min(self.n_workers, len(tasks))) as pool:
-                        futures = [
-                            pool.submit(
-                                self._thread_chunk,
-                                detector,
-                                unique[start:end],
-                                threshold,
-                                tracer,
-                                parent_span_id,
-                                chunk,
-                            )
-                            for chunk, (start, end) in enumerate(bounds)
-                        ]
-                        shard_outputs = [future.result() for future in futures]
                 else:
                     with ProcessPoolExecutor(max_workers=min(self.n_workers, len(tasks))) as pool:
                         futures = [pool.submit(_worker_fit_detect, *task) for task in tasks]
@@ -412,16 +334,3 @@ class ParallelExecutor:
         with ProcessPoolExecutor(max_workers=min(self.n_workers, len(names))) as pool:
             futures = [pool.submit(_worker_experiment, name, settings) for name in names]
             return [future.result() for future in futures]
-
-
-def parallel_fit_detect_many(
-    graphs: Iterable[Graph],
-    config: Optional[TPGrGADConfig] = None,
-    n_workers: Optional[int] = None,
-    threshold: Optional[float] = None,
-    **kwargs,
-) -> List[GroupDetectionResult]:
-    """One-call convenience wrapper around :class:`ParallelExecutor`."""
-    return ParallelExecutor(config, n_workers=n_workers, **kwargs).fit_detect_many(
-        graphs, threshold=threshold
-    )

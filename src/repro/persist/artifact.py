@@ -109,8 +109,8 @@ class PipelineState:
         """Capture a fitted ``TPGrGAD`` (after ``fit_detect``).
 
         The recorded fingerprint is that of the graph the models were
-        *trained* on (tracked by the pipeline at fit time) — serving
-        ``detect_only`` on other graphs rebinds ``detector._graph`` but
+        *trained* on (tracked by the pipeline at fit time) — a streaming
+        warm start on another snapshot rebinds ``detector._graph`` but
         must never change what the manifest claims the weights came from.
         """
         if detector.mhgae is None:
@@ -123,7 +123,7 @@ class PipelineState:
         if n_features is None:
             n_features = int(graph.n_features) if graph is not None else -1
         # Export the TPGCL that training actually produced, not whatever
-        # the last detect_only serve left on detector.tpgcl (a serve that
+        # a streaming warm start left on detector.tpgcl (a warm start that
         # skipped the head must not erase trained weights).
         tpgcl = getattr(detector, "_fitted_tpgcl", None) or detector.tpgcl
         return cls(
@@ -320,7 +320,7 @@ def save_pipeline(detector, path) -> Path:
     A detector that came from :func:`load_pipeline` and was never
     re-trained re-saves its loaded state verbatim — same weights, same
     fitted-graph fingerprint — even after serving ``detect_only`` on
-    other graphs (which rebinds the live models but does not train).
+    other graphs (which neither trains nor rebinds the detector's models).
     Training (``fit_detect`` / a stream refit) clears the loaded state,
     so a re-fitted detector exports its fresh models instead.
     """

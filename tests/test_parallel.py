@@ -9,7 +9,7 @@ from repro.core import TPGrGAD, TPGrGADConfig
 from repro.datasets import make_example_graph
 from repro.gae import MHGAEConfig
 from repro.gcl import TPGCLConfig
-from repro.parallel import ParallelExecutor, default_worker_count, parallel_fit_detect_many
+from repro.parallel import ParallelExecutor, default_worker_count
 from repro.sampling import SamplerConfig
 from repro.seeding import derive_stage_seeds, resolve_seed, spawn_seeds
 
@@ -91,9 +91,14 @@ class TestShardedParity:
         warm = TPGrGAD.load(tmp_path / "after-sharded").detect_only(graphs[-1])
         assert np.abs(warm.scores - serial.fit_detect(graphs[-1]).scores).max() <= 1e-8
 
-    def test_convenience_wrapper(self, graphs, serial_results):
-        results = parallel_fit_detect_many(graphs, _tiny_config(), n_workers=2)
-        assert [r.to_json_dict() for r in results] == serial_results
+    def test_convenience_wrapper(self, graphs):
+        """The one-call form ``ParallelExecutor(...).fit_detect_many`` passes
+        an explicit threshold through to every worker, as the serial call does."""
+        serial = TPGrGAD(_tiny_config()).fit_detect_many(graphs, threshold=10.0)
+        executor = ParallelExecutor(_tiny_config(), n_workers=2)
+        sharded = executor.fit_detect_many(graphs, threshold=10.0)
+        assert [r.threshold for r in sharded] == [10.0] * len(graphs)
+        assert [r.to_json_dict() for r in sharded] == [r.to_json_dict() for r in serial]
 
     def test_empty_batch(self):
         assert ParallelExecutor(_tiny_config(), n_workers=2).fit_detect_many([]) == []
@@ -202,65 +207,12 @@ class TestArtifactBroadcast:
         executor = ParallelExecutor(n_workers=1, artifact=str(artifact))
         results = executor.fit_detect_many([graphs[0], graphs[1], graphs[0], graphs[1]])
         # Warm detect_only is deterministic per graph, so duplicates are
-        # scored once and fanned out (counted like stage-cache hits) —
-        # what the scoring service's sharded micro-batches rely on.
+        # scored once and fanned out (counted like stage-cache hits).
         assert executor.cache_hits == 2
         assert results[0].to_json_dict() == results[2].to_json_dict()
         assert results[1].to_json_dict() == results[3].to_json_dict()
         direct = TPGrGAD.load(str(artifact)).detect_only(graphs[1])
         assert np.abs(results[1].scores - direct.scores).max() <= 1e-8
-
-
-class TestThreadBackend:
-    @pytest.fixture()
-    def artifact(self, tmp_path, graphs):
-        detector = TPGrGAD(_tiny_config())
-        detector.fit_detect(graphs[0])
-        path = tmp_path / "artifact"
-        detector.save(path)
-        return str(path)
-
-    def test_thread_backend_matches_serial_warm_path(self, artifact, graphs):
-        warm = TPGrGAD.load(artifact)
-        serial = [warm.detect_only(graph).to_json_dict() for graph in graphs]
-        executor = ParallelExecutor(
-            n_workers=2, chunk_size=1, artifact=artifact, backend="thread"
-        )
-        threaded = [r.to_json_dict() for r in executor.fit_detect_many(graphs)]
-        assert threaded == serial
-
-    def test_thread_backend_collapses_duplicates_and_shares_detector(self, artifact, graphs):
-        executor = ParallelExecutor(n_workers=2, artifact=artifact, backend="thread")
-        results = executor.fit_detect_many([graphs[0], graphs[1], graphs[0]])
-        assert executor.cache_hits == 1
-        assert results[0].to_json_dict() == results[2].to_json_dict()
-        # One detector, loaded once in the parent, reused across batches.
-        first = executor._shared_detector()
-        executor.fit_detect_many(graphs)
-        assert executor._shared_detector() is first
-
-    def test_thread_backend_requires_artifact(self):
-        with pytest.raises(ValueError, match="requires a broadcast artifact"):
-            ParallelExecutor(_tiny_config(), backend="thread")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend must be"):
-            ParallelExecutor(_tiny_config(), backend="greenlet")
-
-    def test_thread_backend_merges_trace_spans(self, artifact, graphs):
-        from repro.obs.tracer import Tracer, use_tracer
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            executor = ParallelExecutor(
-                n_workers=2, chunk_size=1, artifact=artifact, backend="thread"
-            )
-            executor.fit_detect_many(graphs)
-        names = [span.name for span in tracer.spans]
-        assert "parallel.fit_detect_many" in names
-        assert names.count("parallel.chunk") == len(graphs)
-        # Every chunk span continues the parent trace.
-        assert {span.trace_id for span in tracer.spans} == {tracer.trace_id}
 
 
 class TestExperimentSharding:

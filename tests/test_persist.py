@@ -152,6 +152,26 @@ class TestArtifactRoundtrip:
         # Warm inference must not have trained anything.
         assert loaded.tpgcl is None or loaded.tpgcl.training_result.final_loss is None
 
+    def test_detect_only_retains_no_reference_to_the_scored_graph(self, tmp_path, example_graph):
+        """A serving detector must not keep the last request's graph alive."""
+        import gc
+        import weakref
+
+        from repro.datasets import make_example_graph
+
+        detector = TPGrGAD(_tiny_config())
+        detector.fit_detect(example_graph)
+        detector.save(tmp_path / "artifact")
+
+        loaded = TPGrGAD.load(tmp_path / "artifact")
+        served = make_example_graph(seed=23)
+        loaded.detect_only(served)
+        ref = weakref.ref(served)
+        del served
+        gc.collect()
+        assert ref() is None
+        assert loaded.mhgae is None and loaded.tpgcl is None
+
     def test_resave_of_loaded_detector_preserves_original_state(self, tmp_path, example_graph):
         from repro.datasets import make_example_graph
 
